@@ -14,10 +14,16 @@
 // everything else is bit-reproducible.
 #include "bench/bench_support.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "adapt/adaptive_planner.h"
+#include "common/stats.h"
 #include "planner/topology.h"
 
 namespace remo::bench {
@@ -46,7 +52,7 @@ struct ChurnResult {
   std::size_t naive_replans = 0;  // one per batch, by construction
   std::size_t collected = 0;      // collected pairs at end (delta path)
   bool identical = true;          // delta vs reference, at every flush
-  obs::Histogram::Snapshot latency;  // planner.delta.replan_seconds
+  std::vector<double> replan_ms;  // planning wall time of each delta replan
 };
 
 double since(std::chrono::steady_clock::time_point t0) {
@@ -54,18 +60,19 @@ double since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Upper bound (ms) of the histogram bucket holding quantile `q` — the
-/// resolution planner.delta.replan_seconds offers (decade buckets).
-double quantile_upper_ms(const obs::Histogram::Snapshot& h, double q) {
-  if (h.count == 0) return 0.0;
-  const double target = q * static_cast<double>(h.count);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < h.counts.size(); ++i) {
-    seen += h.counts[i];
-    if (static_cast<double>(seen) >= target)
-      return (i < h.bounds.size() ? h.bounds[i] : h.bounds.back() * 10.0) * 1e3;
-  }
-  return h.bounds.back() * 10.0 * 1e3;
+/// Rank (1-based) of the nearest-rank q-quantile of n sorted samples.
+std::size_t nearest_rank(std::size_t n, double q) {
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(q * static_cast<double>(n))));
+}
+
+/// The highest of a few tail quantiles with at least 10 samples beyond its
+/// nearest rank, or 0 when even p90 has fewer — a tail named from fewer
+/// samples would just be the maximum under another name.
+double supported_tail(std::size_t n) {
+  for (double q : {0.999, 0.99, 0.95, 0.90})
+    if (n >= nearest_rank(n, q) + 10) return q;
+  return 0.0;
 }
 
 ChurnResult run_churn(std::size_t nodes) {
@@ -121,6 +128,7 @@ ChurnResult run_churn(std::size_t nodes) {
     auto t0 = std::chrono::steady_clock::now();
     const AdaptReport report = incr.flush(now);
     out.incr_seconds += since(t0);
+    out.replan_ms.push_back(report.planning_wall_seconds * 1e3);
     ++out.replans;
     out.pairs_changed += report.pairs_changed;
 
@@ -155,10 +163,7 @@ ChurnResult run_churn(std::size_t nodes) {
   if (incr.has_pending()) replan_both(static_cast<double>(kBatches + 1));
 
   out.collected = incr.topology().collected_pairs();
-  out.latency = incr_registry
-                    .histogram("planner.delta.replan_seconds",
-                               obs::Histogram::time_bounds())
-                    .snapshot();
+  std::sort(out.replan_ms.begin(), out.replan_ms.end());
   // Ride the per-size counters into the bench JSON telemetry.
   obs::publish_labeled(incr_registry.snapshot(), "n" + std::to_string(nodes),
                        obs::Registry::global());
@@ -198,21 +203,33 @@ int main(int argc, char** argv) {
     emit(t);
   }
 
-  subbanner("replan latency (planner.delta.replan_seconds histogram)");
+  subbanner("replan latency (nearest-rank percentiles over raw samples)");
   {
-    remo::Table t({"nodes", "replans", "pairs changed", "mean (ms)",
-                   "p50 <= (ms)", "p99 <= (ms)"});
+    remo::Table t({"nodes", "replans", "pairs changed", "samples", "mean (ms)",
+                   "p50 (ms)", "tail", "tail (ms)"});
     for (std::size_t i = 0; i < sizes.size(); ++i) {
       const auto& r = results[i];
+      const std::size_t n = r.replan_ms.size();
+      const double q = supported_tail(n);
       t.row()
           .add(static_cast<long long>(sizes[i]))
           .add(static_cast<long long>(r.replans))
           .add(static_cast<long long>(r.pairs_changed))
-          .add(r.latency.mean() * 1e3, 2)
-          .add(quantile_upper_ms(r.latency, 0.50), 2)
-          .add(quantile_upper_ms(r.latency, 0.99), 2);
+          .add(static_cast<long long>(n))
+          .add(remo::mean_of(r.replan_ms), 2)
+          .add(n > 0 ? r.replan_ms[nearest_rank(n, 0.5) - 1] : 0.0, 2);
+      if (q > 0.0) {
+        char name[16];
+        std::snprintf(name, sizeof name, "p%g", q * 100.0);
+        t.add(std::string(name)).add(r.replan_ms[nearest_rank(n, q) - 1], 2);
+      } else {
+        t.add("-").add("-");
+      }
     }
     emit(t);
+    std::printf(
+        "(a tail percentile is named only with at least 10 samples beyond\n"
+        "it; with fewer, p50 and the sample count are all the data supports)\n");
   }
 
   subbanner("coalescing amortization (vs per-batch full-diff replanning)");

@@ -133,7 +133,7 @@ void MonitoringDaemon::apply(Command& cmd, std::uint64_t& values_this_epoch) {
         }
         const NodeAttrPair pair{v.node, v.attr};
         latest_values_[pair] = v.value;
-        system_.on_delivery(pair, epoch_);
+        system_.on_delivery(pair, epoch());
         pending_latency_.emplace_back(pair, cmd.enqueued_at);
         ++values_this_epoch;
         ++stats_.values_applied;
@@ -162,7 +162,8 @@ void MonitoringDaemon::apply(Command& cmd, std::uint64_t& values_this_epoch) {
 }
 
 void MonitoringDaemon::run_epoch() {
-  ++epoch_;
+  const std::uint64_t epoch_now = epoch_.load(std::memory_order_relaxed) + 1;
+  epoch_.store(epoch_now, std::memory_order_release);
   const double now_end = now();
 
   scratch_commands_.clear();
@@ -174,7 +175,7 @@ void MonitoringDaemon::run_epoch() {
   // Recovery step (per-shard no-op unless recovery is enabled), then the
   // lazy replan + emission — this is where the epoch's plan settles, so a
   // snapshot taken below never perturbs throttle decisions.
-  system_.end_epoch(epoch_);
+  system_.end_epoch(epoch_now);
   emit_epoch(now_end, values_this_epoch);
 
   if (snapshot_requested_) {
@@ -220,7 +221,7 @@ void MonitoringDaemon::emit_epoch(double now_end,
 
   if (options_.sink) {
     wire::EpochPairsRecord rec;
-    rec.epoch = epoch_;
+    rec.epoch = epoch();
     rec.values_applied = values_this_epoch;
     rec.pairs.reserve(collected_.size());
     for (const NodeAttrPair& p : collected_)
@@ -233,7 +234,7 @@ void MonitoringDaemon::emit_epoch(double now_end,
 
   const BusStats bus_stats = bus_.stats();
   wire::SeriesSample sample;
-  sample.epoch = epoch_;
+  sample.epoch = epoch();
   sample.values_applied = values_this_epoch;
   sample.pairs_collected = collected_.size();
   sample.coverage = last_status_.coverage;
@@ -277,7 +278,7 @@ std::vector<std::uint8_t> MonitoringDaemon::snapshot() {
   wire::Writer payload;
   encode_system(payload, system_, now());
 
-  payload.u64(epoch_);
+  payload.u64(epoch());
   payload.u64(latest_values_.size());
   for (const auto& [pair, value] : latest_values_) {
     payload.u32(pair.node);
@@ -336,7 +337,7 @@ void MonitoringDaemon::restore(const std::vector<std::uint8_t>& image) {
   wire::Reader p(rec.payload, rec.size);
   REMO_ASSERT(decode_system(p, system_), "malformed system image in snapshot");
 
-  epoch_ = p.u64();
+  epoch_.store(p.u64(), std::memory_order_release);
   latest_values_.clear();
   const std::uint64_t nvalues = p.u64();
   for (std::uint64_t i = 0; i < nvalues && p.ok(); ++i) {

@@ -29,6 +29,7 @@
 // recovery is enabled in the shard options.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -89,11 +90,13 @@ struct DaemonStats {
 };
 
 // Thread model (DESIGN.md §16): producers on any thread call the
-// submit_* edge, which only touches `bus_` — MessageBus is the daemon's
-// single cross-thread capability (one annotated remo::Mutex guards the
-// queue, admission buckets, and stats; see service/message_bus.h). The
-// run loop is a single consumer: everything below the bus (the federated
-// system, stats_, collected_) is consumer-thread-only state, so it is
+// submit_* edge, which touches only `bus_` and the virtual clock —
+// MessageBus is the daemon's single locked capability (one annotated
+// remo::Mutex guards the queue, admission buckets, and stats; see
+// service/message_bus.h), and the clock is an atomic the run loop
+// publishes and producers read to stamp their commands. The run loop is a
+// single consumer: everything else below the bus (the federated system,
+// stats_, collected_) is consumer-thread-only state, so it is
 // deliberately unguarded and unannotated — adding a mutex there would
 // claim a sharing that must never exist.
 class MonitoringDaemon {
@@ -126,10 +129,14 @@ class MonitoringDaemon {
   /// same number of run_epoch() calls — wall time never reaches them.
   void run_wall_clock(double period_seconds, std::size_t epochs);
 
-  std::uint64_t epoch() const noexcept { return epoch_; }
-  /// The virtual clock: end time of the last completed epoch.
+  /// Safe from any thread: producers stamp submissions with it.
+  std::uint64_t epoch() const noexcept {
+    return epoch_.load(std::memory_order_acquire);
+  }
+  /// The virtual clock: end time of the last completed epoch. Safe from
+  /// any thread.
   double now() const noexcept {
-    return static_cast<double>(epoch_) * options_.epoch_duration;
+    return static_cast<double>(epoch()) * options_.epoch_duration;
   }
 
   // ---- read side ---------------------------------------------------------
@@ -192,7 +199,9 @@ class MonitoringDaemon {
   MessageBus bus_;
   ServiceMetrics metrics_;
 
-  std::uint64_t epoch_ = 0;
+  /// Completed epochs. Written only by the run loop (run_epoch, restore);
+  /// read by producers through now().
+  std::atomic<std::uint64_t> epoch_{0};
   DaemonStats stats_;
   /// Freshest value per pair, ordered — iteration feeds the wire stream.
   std::map<NodeAttrPair, double> latest_values_;

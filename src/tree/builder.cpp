@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <unordered_set>
+#include <utility>
 
 #include "common/sorted_vector.h"
 
@@ -11,26 +11,44 @@ namespace remo {
 
 namespace {
 
-/// Parent-selection criterion per scheme. Returns kNoNode if no vertex can
-/// feasibly accept `item`; otherwise the chosen parent. Blocking vertices
-/// encountered during the scan are appended to `congested`.
+/// The distinct blocking vertices ("congested nodes", Definition 4) met by
+/// one construction pass. Each is recorded once, at its first failed
+/// probe, instead of once per probe and deduplicated afterwards: `seen` is
+/// indexed by NodeId, sized by build_tree to cover every vertex, and reset
+/// only at the entries take() returns, so a pass costs O(blockers).
+struct BlockerSet {
+  std::vector<std::uint8_t> seen;
+  std::vector<NodeId> ids;
+
+  void record(NodeId b) {
+    if (seen[b] != 0) return;
+    seen[b] = 1;
+    ids.push_back(b);
+  }
+  /// The pass's blockers, in discovery order; leaves the set empty.
+  std::vector<NodeId> take() {
+    for (NodeId b : ids) seen[b] = 0;
+    return std::exchange(ids, {});
+  }
+};
+
+/// Parent-selection criterion per scheme, answered through `scan` (the
+/// item's batched feasibility masks). Returns kNoNode if no vertex can
+/// feasibly accept the item; otherwise the chosen parent. Blocking vertices
+/// encountered during the scan are recorded in `blockers`.
 // REMO_HOT: called once per pending item per construction pass.
-NodeId select_parent(const MonitoringTree& tree, const BuildItem& item,
-                     TreeScheme scheme, std::vector<NodeId>* congested) {
+NodeId select_parent(const MonitoringTree& tree,
+                     const MonitoringTree::AttachScan& scan, NodeId item_id,
+                     TreeScheme scheme, BlockerSet& blockers) {
   NodeId best = kNoNode;
   // (primary, secondary) score; lower is better.
   double best_primary = std::numeric_limits<double>::infinity();
   double best_secondary = std::numeric_limits<double>::infinity();
 
-  // Item invariants and per-slot feasibility masks computed once: the scan
-  // below answers can_attach in O(1) per candidate instead of one ancestor
-  // walk each (bit-identical booleans and blockers).
-  const auto scan = tree.attach_scan(item);
   auto consider = [&](NodeId v) {
     NodeId blocker = kNoNode;
     if (!scan.can_attach(v, &blocker)) {
-      if (congested && blocker != kNoNode && blocker != item.id)
-        congested->push_back(blocker);
+      if (blocker != kNoNode && blocker != item_id) blockers.record(blocker);
       return;
     }
     double primary = 0.0;
@@ -60,13 +78,14 @@ NodeId select_parent(const MonitoringTree& tree, const BuildItem& item,
   return best;
 }
 
-/// A pending node plus its send-cost demand u = C + a·y. The demand depends
-/// only on the item's local counts and the tree's attribute specs — both
-/// fixed for the whole build — so it is computed once per item instead of
-/// once per adjust round.
+/// A pending node plus its send-cost demand u = C + a·y and its local
+/// total. Both depend only on the item's local counts and the tree's
+/// attribute specs — fixed for the whole build — so they are computed once
+/// per item instead of once per pass or adjust round.
 struct PendingItem {
   BuildItem item;
   Capacity demand = 0;
+  std::uint64_t total = 0;
 };
 
 Capacity item_demand(const MonitoringTree& tree, const BuildItem& item) {
@@ -80,23 +99,39 @@ Capacity item_demand(const MonitoringTree& tree, const BuildItem& item) {
 /// One construction pass (the STAR-like construction procedure): tries to
 /// attach every pending item, removing the ones that succeed. Returns the
 /// number of attachments made.
+///
+/// Repeat failures are skipped on uniform-identity trees: there the attach
+/// masks depend on an item only through its local total d (child message
+/// C + a·d, ancestor payload delta a·d), so every probe answer and every
+/// blocker is a function of d. Once an item that can afford its own
+/// message fails with total d, every later item with total d fails too —
+/// with blockers already recorded, or none if it cannot afford its own
+/// message — until the next attach changes the tree.
 std::size_t construction_pass(MonitoringTree& tree,
                               std::vector<PendingItem>& pending,
-                              TreeScheme scheme, std::vector<NodeId>* congested) {
+                              TreeScheme scheme, BlockerSet& blockers) {
+  const bool skip_repeats = tree.uniform_identity();
+  std::vector<std::uint64_t> failed_totals;  // sorted; cleared on attach
   std::size_t attached = 0;
   std::vector<PendingItem> still_pending;
   still_pending.reserve(pending.size());
   for (auto& p : pending) {
-    const NodeId parent = select_parent(tree, p.item, scheme, congested);
+    if (skip_repeats && set_contains(failed_totals, p.total)) {
+      still_pending.push_back(std::move(p));
+      continue;
+    }
+    const auto scan = tree.attach_scan(p.item);
+    const NodeId parent = select_parent(tree, scan, p.item.id, scheme, blockers);
     if (parent != kNoNode) {
       tree.attach(p.item, parent);
       ++attached;
+      failed_totals.clear();
     } else {
+      if (skip_repeats && scan.item_fits()) set_insert(failed_totals, p.total);
       still_pending.push_back(std::move(p));
     }
   }
   pending = std::move(still_pending);
-  if (congested) sort_unique(*congested);
   return attached;
 }
 
@@ -108,30 +143,38 @@ Capacity min_pending_demand(const std::vector<PendingItem>& pending) {
   return best;
 }
 
-/// Reattachment candidates for branch `b` pruned from congested node `dc`.
-/// `subtree_scope`: restrict to dc's subtree (minus the branch and dc
-/// itself); otherwise every vertex except dc and the branch.
+/// Reattachment candidates for branch `b` (a child of congested node `dc`)
+/// pruned from dc, most slack first, ties by id. `subtree_scope`: restrict
+/// to dc's subtree minus dc and the branch; otherwise every vertex except
+/// dc and the branch.
 std::vector<NodeId> reattach_candidates(const MonitoringTree& tree, NodeId dc,
                                         NodeId b, bool subtree_scope) {
-  std::vector<NodeId> out;
-  std::unordered_set<NodeId> excluded;
-  for (NodeId n : tree.branch_nodes(b)) excluded.insert(n);
-  excluded.insert(dc);
-  if (subtree_scope) {
-    for (NodeId n : tree.branch_nodes(dc))
-      if (!excluded.count(n)) out.push_back(n);
-  } else {
-    if (!excluded.count(kCollectorId)) out.push_back(kCollectorId);
-    for (NodeId n : tree.members())
-      if (!excluded.count(n)) out.push_back(n);
-  }
   // Prefer targets with the most slack: they are the likeliest to absorb
-  // the branch, keeping the scan short.
-  std::sort(out.begin(), out.end(), [&](NodeId x, NodeId y) {
-    const double sx = tree.slack(x), sy = tree.slack(y);
-    if (sx != sy) return sx > sy;
-    return x < y;
-  });
+  // the branch, keeping the scan short. Each key (-slack, id) is computed
+  // once, not once per comparison.
+  std::vector<std::pair<double, NodeId>> keyed;
+  auto add = [&](NodeId n) { keyed.emplace_back(-tree.slack(n), n); };
+  if (subtree_scope) {
+    // Breadth-first below dc, never entering b's branch.
+    std::vector<NodeId> frontier;
+    for (NodeId c : tree.children(dc))
+      if (c != b) frontier.push_back(c);
+    for (std::size_t i = 0; i < frontier.size(); ++i) {
+      add(frontier[i]);
+      for (NodeId c : tree.children(frontier[i])) frontier.push_back(c);
+    }
+  } else {
+    auto branch = tree.branch_nodes(b);
+    std::sort(branch.begin(), branch.end());
+    auto excluded = [&](NodeId n) { return n == dc || set_contains(branch, n); };
+    if (!excluded(kCollectorId)) add(kCollectorId);
+    for (NodeId n : tree.members())
+      if (!excluded(n)) add(n);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<NodeId> out;
+  out.reserve(keyed.size());
+  for (const auto& k : keyed) out.push_back(k.second);
   return out;
 }
 
@@ -170,10 +213,12 @@ bool adjust(MonitoringTree& tree, std::vector<NodeId> congested,
       const bool scope_subtree = opts.subtree_only && min_demand <= b_cost + 1e-9;
 
       if (opts.branch_reattach) {
-        for (NodeId target : reattach_candidates(tree, dc, b, scope_subtree)) {
-          ++stats.reattach_tests;
-          if (tree.move_branch(b, target)) return true;
-        }
+        const auto targets = reattach_candidates(tree, dc, b, scope_subtree);
+        const std::size_t hit = tree.move_branch_first_fit(b, targets);
+        // Every target up to and including the one that took the branch
+        // was tested.
+        stats.reattach_tests += std::min(hit + 1, targets.size());
+        if (hit < targets.size()) return true;
       } else {
         // Node-by-node reattach (the basic scheme): detach the branch, then
         // greedily re-insert each node anywhere except dc. All-or-nothing:
@@ -253,12 +298,15 @@ TreeBuildResult build_tree(std::vector<TreeAttrSpec> attrs,
   // accounting stays exact.
   std::vector<PendingItem> pending;
   pending.reserve(items.size());
+  NodeId max_id = kCollectorId;
   for (auto& item : items) {
     if (item.local_total() == 0) {
       result.rejected.push_back(std::move(item));
     } else {
-      PendingItem p{std::move(item), 0};
+      PendingItem p{std::move(item), 0, 0};
       p.demand = item_demand(result.tree, p.item);
+      for (std::uint32_t v : p.item.local) p.total += v;
+      max_id = std::max(max_id, p.item.id);
       pending.push_back(std::move(p));
     }
   }
@@ -271,11 +319,14 @@ TreeBuildResult build_tree(std::vector<TreeAttrSpec> attrs,
               return a.item.id < b.item.id;
             });
 
+  // Blockers are the collector or members, i.e. ids of pending items.
+  BlockerSet blockers;
+  blockers.seen.assign(static_cast<std::size_t>(max_id) + 1, 0);
   std::size_t fruitless = 0;
   while (!pending.empty()) {
-    std::vector<NodeId> congested;
     const std::size_t attached =
-        construction_pass(result.tree, pending, options.scheme, &congested);
+        construction_pass(result.tree, pending, options.scheme, blockers);
+    std::vector<NodeId> congested = blockers.take();
     if (pending.empty()) break;
     if (attached > 0)
       fruitless = 0;

@@ -605,19 +605,38 @@ bool MonitoringTree::can_move_branch(NodeId r, NodeId new_parent,
   return ok;
 }
 
-bool MonitoringTree::move_branch(NodeId r, NodeId new_parent) {
-  if (!contains(r) || !contains(new_parent)) return false;
-  if (in_subtree(new_parent, r)) return false;
+std::size_t MonitoringTree::move_branch_first_fit(
+    NodeId r, std::span<const NodeId> targets) {
+  if (!contains(r)) return targets.size();
   const Slot rs = lookup_[r];
-  const Slot nps = lookup_[new_parent];
   const Slot ops = parent_[rs];
-  if (ops == nps) return false;
-  const auto out = out_counts(r);
-  const Capacity u = send_cost(r);
-  unlink(rs, out.data(), u);
-  if (!feasible_add(nps, out.data(), u, nullptr)) {
-    relink(rs, ops, out.data(), u);
-    return false;
+  // Unlinked lazily at the first valid target, so a scan with none leaves
+  // the child lists untouched. The branch's own state never changes while
+  // it is detached: out/u stay valid and in_subtree still walks parent_.
+  std::vector<std::uint32_t> out;
+  Capacity u = 0.0;
+  bool unlinked = false;
+  Slot nps = kNoSlot;
+  std::size_t hit = 0;
+  for (; hit < targets.size(); ++hit) {
+    const NodeId t = targets[hit];
+    if (!contains(t) || in_subtree(t, r)) continue;
+    nps = lookup_[t];
+    if (nps == ops) continue;
+    if (!unlinked) {
+      out = out_counts(r);
+      u = send_cost(r);
+      unlink(rs, out.data(), u);
+      unlinked = true;
+    }
+    if (feasible_add(nps, out.data(), u, nullptr)) break;
+  }
+  if (hit == targets.size()) {
+    if (unlinked) {
+      relink(rs, ops, out.data(), u);
+      bump_generation();
+    }
+    return hit;
   }
   relink(rs, nps, out.data(), u);
   jparent(rs);
@@ -637,8 +656,8 @@ bool MonitoringTree::move_branch(NodeId r, NodeId new_parent) {
     }
   }
   bump_generation();
-  deep_validate("move_branch");
-  return true;
+  deep_validate("move_branch_first_fit");
+  return hit;
 }
 
 std::vector<BuildItem> MonitoringTree::detach_branch(NodeId r) {

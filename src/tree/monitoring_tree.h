@@ -264,6 +264,10 @@ class MonitoringTree {
   class AttachScan {
    public:
     bool can_attach(NodeId parent, NodeId* blocker = nullptr) const;
+    /// False when no parent can take the item: it is already a member, or
+    /// it cannot afford its own message (every query then fails with the
+    /// item itself as the blocker).
+    bool item_fits() const noexcept { return !item_member_ && !self_fail_; }
 
    private:
     friend class MonitoringTree;
@@ -292,9 +296,19 @@ class MonitoringTree {
   /// Can the branch rooted at `r` be re-parented under `new_parent`?
   /// `new_parent` must not be inside the branch.
   bool can_move_branch(NodeId r, NodeId new_parent, NodeId* blocker = nullptr);
-  /// Re-parent branch `r` under `new_parent`; returns false (tree
-  /// unchanged) if infeasible.
-  bool move_branch(NodeId r, NodeId new_parent);
+  /// Re-parent branch `r` under the first of `targets`, in order, that can
+  /// feasibly take it, and return that target's index; targets.size() if
+  /// none can. Absent targets, targets inside the branch and r's current
+  /// parent are skipped. The branch is unlinked once for the whole scan
+  /// (not once per target); when no target takes it, it is relinked under
+  /// its old parent — loads unchanged, but at the back of that parent's
+  /// child list if any target was tested.
+  std::size_t move_branch_first_fit(NodeId r, std::span<const NodeId> targets);
+  /// Re-parent branch `r` under `new_parent`; returns false if infeasible
+  /// (see move_branch_first_fit for the child-list side effect).
+  bool move_branch(NodeId r, NodeId new_parent) {
+    return move_branch_first_fit(r, {&new_parent, 1}) == 0;
+  }
 
   /// Remove the branch rooted at `r`; returns the removed nodes as build
   /// items (BFS order: parents before children).

@@ -10,11 +10,14 @@
 //     per-epoch value budget, shedding at the watermark, token-bucket
 //     rate limits, all mirrored in DaemonStats / BusStats / `service.*`
 //     metrics;
+//   - producers may submit from other threads while the run loop ticks
+//     (the TSan target for the virtual clock);
 //   - the wire stream round-trips the per-epoch collected values.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -387,6 +390,52 @@ TEST(DaemonBackpressure, SheddingAndRateLimitsSurfaceToProducers) {
   EXPECT_NE(json.find("\"shed_rate_limit\":1"), std::string::npos) << json;
   const std::string series = daemon.time_series_text();
   EXPECT_EQ(series.compare(0, 6, "#epoch"), 0);
+}
+
+// TSan target: producers stamp their commands with the virtual clock
+// while the run loop advances it. Every submitted value is applied or shed
+// (counted), and each producer sees the clock only move forward.
+TEST(DaemonThreads, ProducersSubmitWhileRunLoopTicks) {
+  const SystemModel model = make_model(16, 8, 7);
+  DaemonOptions options;
+  options.federation = fed_options(1, nullptr);
+  MonitoringDaemon daemon(model, options);
+  constexpr int kProducers = 3;
+  constexpr int kBatches = 40;
+  constexpr int kEpochs = 30;
+
+  std::vector<int> monotone(kProducers, 1);
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (int t = 0; t < kProducers; ++t)
+    producers.emplace_back([&daemon, &monotone, t] {
+      double last = 0.0;
+      for (int i = 0; i < kBatches; ++i) {
+        const double now = daemon.now();
+        if (now < last) monotone[t] = 0;
+        last = now;
+        daemon.submit_values(
+            static_cast<std::uint32_t>(t),
+            {ValueUpdate{static_cast<NodeId>(1 + i % 16), 0,
+                         static_cast<double>(i)}});
+        std::this_thread::yield();
+      }
+    });
+  for (int e = 0; e < kEpochs; ++e) {
+    daemon.run_epoch();
+    std::this_thread::yield();
+  }
+  for (auto& p : producers) p.join();
+  daemon.run_epoch();  // drains whatever the producers pushed last
+
+  for (int t = 0; t < kProducers; ++t) EXPECT_EQ(monotone[t], 1) << t;
+  EXPECT_EQ(daemon.epoch(), static_cast<std::uint64_t>(kEpochs) + 1);
+  const BusStats s = daemon.bus().stats();
+  EXPECT_EQ(s.values_accepted + s.values_shed,
+            static_cast<std::uint64_t>(kProducers) * kBatches);
+  EXPECT_EQ(daemon.stats().values_applied + daemon.stats().values_invalid,
+            s.values_accepted);
+  EXPECT_EQ(daemon.bus().depth(), 0u);
 }
 
 TEST(DaemonWire, StreamRoundTripsCollectedValues) {

@@ -4,6 +4,8 @@
 // bottom-up recomputation (validate()), across funnel types and weights.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "common/rng.h"
 #include "tree/monitoring_tree.h"
 
@@ -12,12 +14,17 @@ namespace {
 
 const CostModel kCost{10.0, 1.0};
 
+// gtest names each case after a byte dump of its parameter, so the padding
+// after `agg` is spelled out and zeroed: left implicit, it would carry
+// uninitialised stack bytes into the test names and change them per build.
 struct FuzzParams {
   std::uint64_t seed;
   AggType agg;
+  std::array<std::uint8_t, 7> pad;
   double weight;
   Capacity avail;
 };
+static_assert(sizeof(FuzzParams) == 32, "FuzzParams has implicit padding");
 
 class TreeFuzz : public ::testing::TestWithParam<FuzzParams> {};
 
@@ -88,14 +95,14 @@ TEST_P(TreeFuzz, RandomOpSequenceKeepsInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(
     Mix, TreeFuzz,
-    ::testing::Values(FuzzParams{1, AggType::kHolistic, 1.0, 60.0},
-                      FuzzParams{2, AggType::kHolistic, 1.0, 200.0},
-                      FuzzParams{3, AggType::kSum, 1.0, 60.0},
-                      FuzzParams{4, AggType::kMax, 0.5, 80.0},
-                      FuzzParams{5, AggType::kTopK, 1.0, 100.0},
-                      FuzzParams{6, AggType::kTopK, 0.25, 50.0},
-                      FuzzParams{7, AggType::kDistinct, 1.0, 70.0},
-                      FuzzParams{8, AggType::kHolistic, 0.1, 40.0}));
+    ::testing::Values(FuzzParams{1, AggType::kHolistic, {}, 1.0, 60.0},
+                      FuzzParams{2, AggType::kHolistic, {}, 1.0, 200.0},
+                      FuzzParams{3, AggType::kSum, {}, 1.0, 60.0},
+                      FuzzParams{4, AggType::kMax, {}, 0.5, 80.0},
+                      FuzzParams{5, AggType::kTopK, {}, 1.0, 100.0},
+                      FuzzParams{6, AggType::kTopK, {}, 0.25, 50.0},
+                      FuzzParams{7, AggType::kDistinct, {}, 1.0, 70.0},
+                      FuzzParams{8, AggType::kHolistic, {}, 0.1, 40.0}));
 
 }  // namespace
 }  // namespace remo
