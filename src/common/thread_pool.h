@@ -4,6 +4,17 @@
 // assigns each index its own output slot and the caller decides winners by
 // index, never by completion order.
 //
+// Multi-caller contract: several threads may call parallel_for on one pool
+// at once, and a pool task may call parallel_for on the pool that runs it
+// (nesting). The federation relies on both: dirty shards plan as tasks of
+// one loop, and each shard's evaluator dispatches its candidate blocks
+// into the same pool. Every call publishes its own Job and the caller
+// drains that job itself, so a call completes even if no worker ever
+// joins it; a caller waits only for indices other threads already
+// claimed, and those threads are running them. Idle workers join the
+// latest published job. Each call runs every index exactly once and
+// rethrows only its own job's first exception.
+//
 // Lock discipline (machine-checked under -DREMO_TSA=ON, DESIGN.md §16):
 // `mutex_` guards the job hand-off state (job_, job_generation_, stop_);
 // workers take it only to pick up or wait for a job, never while running
@@ -55,7 +66,9 @@ class ThreadPool {
 
   Mutex mutex_;
   CondVar wake_;
-  /// Current job, null when idle.
+  /// Latest published job, for idle workers to join; null once its caller
+  /// has drained it. Earlier jobs still running are not listed here —
+  /// their callers (and any workers already inside them) finish them.
   std::shared_ptr<Job> job_ REMO_GUARDED_BY(mutex_);
   std::uint64_t job_generation_ REMO_GUARDED_BY(mutex_) = 0;
   bool stop_ REMO_GUARDED_BY(mutex_) = false;

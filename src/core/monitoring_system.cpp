@@ -178,7 +178,7 @@ std::string MonitoringSystem::constraint_signature_of(
 }
 
 void MonitoringSystem::ensure_planned(double now) {
-  if (!dirty_ && !delta_dirty_ && planner_.has_value()) return;
+  if (!plan_pending()) return;
   ++generation_;
 
   if (!dirty_ && planner_.has_value()) {

@@ -151,6 +151,12 @@ class MonitoringSystem {
   const Topology& topology(double now = 0.0);
   /// Force a full from-scratch replan regardless of the adaptation scheme.
   void replan(double now = 0.0);
+  /// True when the next read will (re)plan: no plan yet, or buffered task
+  /// mutations. O(1); the federation facade uses it to pick the shards it
+  /// plans concurrently.
+  bool plan_pending() const noexcept {
+    return dirty_ || delta_dirty_ || !planner_.has_value();
+  }
 
   /// The identities of the pairs the current topology collects, sorted by
   /// (node, attr) — see collected_pairs_of() in planner/topology.h. This

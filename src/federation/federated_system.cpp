@@ -40,6 +40,10 @@ FederatedMonitoringSystem::FederatedMonitoringSystem(SystemModel global,
       options_(std::move(options)),
       router_(system_.num_nodes(),
               std::max<std::size_t>(1, options_.num_shards)) {
+  const std::size_t threads = options_.shard.planner.num_threads == 0
+                                  ? ThreadPool::default_concurrency()
+                                  : options_.shard.planner.num_threads;
+  pool_ = std::make_unique<ThreadPool>(threads - 1);
   const std::size_t k = router_.num_shards();
   registries_.reserve(k);
   shards_.reserve(k);
@@ -53,6 +57,7 @@ FederatedMonitoringSystem::FederatedMonitoringSystem(SystemModel global,
     // republishes them labeled so the series stay separable per shard.
     opts.metrics = registries_.back().get();
     opts.planner.metrics = registries_.back().get();
+    opts.planner.executor = pool_.get();
     // Recovery callbacks cross the facade boundary: the caller speaks
     // global ids, the shard core speaks local ones.
     if (opts.recovery.on_detect) {
@@ -188,6 +193,7 @@ FederatedMonitoringSystem::Status FederatedMonitoringSystem::status(double now) 
 
 std::vector<FederatedMonitoringSystem::Status>
 FederatedMonitoringSystem::shard_statuses(double now) {
+  plan_shards(now);
   std::vector<Status> out;
   out.reserve(shards_.size());
   for (auto& shard : shards_) out.push_back(shard->status(now));
@@ -195,6 +201,7 @@ FederatedMonitoringSystem::shard_statuses(double now) {
 }
 
 std::vector<NodeAttrPair> FederatedMonitoringSystem::collected_pairs(double now) {
+  plan_shards(now);
   std::vector<std::vector<NodeAttrPair>> per_shard;
   per_shard.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s)
@@ -211,8 +218,19 @@ RepairReport FederatedMonitoringSystem::repair_report() const {
   return merge_repair_reports(reports);
 }
 
-void FederatedMonitoringSystem::replan(double now) {
-  for (auto& shard : shards_) shard->replan(now);
+void FederatedMonitoringSystem::replan(double now) { plan_shards(now, true); }
+
+void FederatedMonitoringSystem::plan_shards(double now, bool force) {
+  std::vector<MonitoringSystem*> work;
+  for (auto& shard : shards_)
+    if (force || shard->plan_pending()) work.push_back(shard.get());
+  if (work.empty()) return;
+  pool_->parallel_for(work.size(), [&](std::size_t i) {
+    if (force)
+      work[i]->replan(now);
+    else
+      (void)work[i]->topology(now);
+  });
 }
 
 const Topology& FederatedMonitoringSystem::topology(double now) {
@@ -231,6 +249,9 @@ void FederatedMonitoringSystem::on_delivery(NodeAttrPair pair,
 }
 
 bool FederatedMonitoringSystem::end_epoch(std::uint64_t epoch) {
+  // A shard core plans in end_epoch only with recovery on; without it the
+  // plan stays pending for the next read, at that read's clock.
+  if (options_.shard.recovery.enabled) plan_shards(static_cast<double>(epoch));
   bool changed = false;
   for (auto& shard : shards_)
     if (shard->end_epoch(epoch)) changed = true;
@@ -260,6 +281,7 @@ void FederatedMonitoringSystem::publish_metrics() {
 }
 
 std::string FederatedMonitoringSystem::export_json(double now) {
+  plan_shards(now);
   std::ostringstream os;
   os << "{\"federation\":{"
      << "\"shards\":" << shards_.size()
@@ -280,6 +302,7 @@ std::string FederatedMonitoringSystem::export_json(double now) {
 }
 
 std::string FederatedMonitoringSystem::export_dot(double now) {
+  plan_shards(now);
   if (shards_.size() == 1) return shards_.front()->export_dot(now);
   std::ostringstream os;
   for (std::size_t s = 0; s < shards_.size(); ++s) {

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/monitoring_system.h"
 #include "federation/shard_router.h"
 #include "obs/metrics.h"
@@ -41,7 +42,9 @@ struct FederationOptions {
   std::size_t num_shards = 1;
   /// Template options applied to every shard core. The facade overrides
   /// the metric registries (each shard publishes into a private registry
-  /// so per-shard series stay separable) and the shard identity; the
+  /// so per-shard series stay separable), the shard identity and the
+  /// planner executor (every shard plans on the facade's one pool, sized
+  /// by `shard.planner.num_threads` for the whole federation); the
   /// recovery callbacks are wrapped to report global node ids.
   MonitoringSystemOptions shard;
   /// Capacity of each shard's own collector. 0 (default) inherits the
@@ -54,14 +57,20 @@ struct FederationOptions {
   obs::Registry* metrics = nullptr;
 };
 
-// Thread model (DESIGN.md §16): the facade itself is single-threaded —
-// callers serialize task/epoch calls exactly as they would against one
-// core. The only state shared with other threads is the per-shard metric
-// registries (`registries_`): shard cores publish into them while an
-// exporter thread may read, and that traffic is safe because
-// obs::Registry's map is guarded by an annotated remo::Mutex and the
-// returned metric handles are lock-free atomics. No mutex lives at this
-// layer, so there is nothing here for the thread-safety analysis to
+// Thread model (DESIGN.md §12, §16): one caller at a time, internally
+// concurrent. Callers serialize task/epoch calls exactly as they would
+// against one core. Inside a call, the facade plans the shards with
+// pending work concurrently on its one ThreadPool (`pool_`, see
+// plan_shards): shards share nothing, so each pool task touches only its
+// own shard core, whose evaluator dispatches candidate blocks back into
+// the same pool. Everything else — routing, merging, the recovery
+// detect/repair steps and the user's on_detect callbacks — runs on the
+// caller, in shard order. The other state shared with other threads is
+// the per-shard metric registries (`registries_`): shard cores publish
+// into them while an exporter thread may read, and that traffic is safe
+// because obs::Registry's map is guarded by an annotated remo::Mutex and
+// the returned metric handles are lock-free atomics. No mutex lives at
+// this layer, so there is nothing here for the thread-safety analysis to
 // check — by construction, not by waiver.
 class FederatedMonitoringSystem {
  public:
@@ -92,7 +101,8 @@ class FederatedMonitoringSystem {
   /// Merged lifetime repair counters across shards.
   RepairReport repair_report() const;
 
-  /// Force a full from-scratch replan on every shard.
+  /// Force a full from-scratch replan on every shard (concurrently, like
+  /// plan_shards).
   void replan(double now = 0.0);
 
   /// K=1 compatibility accessor for callers that embed the facade where a
@@ -106,7 +116,9 @@ class FederatedMonitoringSystem {
   void on_delivery(NodeAttrPair pair, std::uint64_t epoch);
   /// Runs every shard's detect → repair → replan step; true when any
   /// shard's topology changed. Replans stay shard-local: an outage in one
-  /// shard never triggers planning work in another.
+  /// shard never triggers planning work in another. With recovery on, the
+  /// shards' pending plans are settled concurrently first; the detect and
+  /// repair steps (and on_detect callbacks) then run in shard order.
   bool end_epoch(std::uint64_t epoch);
 
   // ---- shard access ------------------------------------------------------
@@ -178,10 +190,20 @@ class FederatedMonitoringSystem {
   /// nodes × unique attributes) — the accounting unit for routing
   /// conservation.
   std::size_t global_pair_count(const MonitoringTask& t) const;
+  /// Settles the shards on `pool_` in one parallel_for: every shard with a
+  /// pending plan, or every shard when `force` (a from-scratch replan).
+  /// ThreadPool::parallel_for runs inline on the caller, in shard order,
+  /// when at most one shard needs work or the pool has no workers — so a
+  /// lone dirty shard keeps the whole pool for its candidate blocks.
+  void plan_shards(double now, bool force = false);
 
   SystemModel system_;
   FederationOptions options_;
   ShardRouter router_;
+  /// The federation's one planning pool (num_threads − 1 workers), shared
+  /// by every shard's evaluator through PlannerOptions::executor. Declared
+  /// before `shards_` so it outlives them.
+  std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<obs::Registry>> registries_;
   std::vector<std::unique_ptr<MonitoringSystem>> shards_;
   std::map<TaskId, Route> routes_;

@@ -22,10 +22,13 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// Engine metrics live in an obs::Registry (options.metrics, defaulting to
 /// the global one) under the `planner.*` names, so a registry snapshot —
 /// e.g. the one every bench writes into BENCH_*.json — carries the engine
-/// counters with no extra plumbing. EvalStats is a *windowed* view of the
-/// same metrics: reset_stats() captures baselines and stats() subtracts
-/// them, which keeps per-plan() windows exact for the serial use the API
-/// had before (registry counters themselves are cumulative).
+/// counters with no extra plumbing. Registry counters are cumulative and
+/// may be shared by several evaluators (a registry per process, or one per
+/// federation shard), so EvalStats windows never read them: each evaluator
+/// counts its own work in `total` and mirrors every addend into the
+/// registry. reset_stats() captures `total` as the baseline and stats()
+/// subtracts it, which keeps per-plan() windows exact even while another
+/// evaluator publishes into the same registry.
 struct PlanEvaluator::Counters {
   obs::Counter* evaluations = nullptr;
   obs::Counter* cache_hits = nullptr;    ///< registry mirror of cache_.hits()
@@ -34,14 +37,24 @@ struct PlanEvaluator::Counters {
   obs::Gauge* evaluate_seconds = nullptr;
   obs::Gauge* build_seconds = nullptr;
 
-  // EvalStats window baselines, captured by reset_stats(). Cache hit/miss
-  // windows subtract TreeBuildCache's own lifetime counts — exact even
-  // when several evaluators share one registry.
-  std::uint64_t evals_base = 0;
-  double evaluate_seconds_base = 0.0;
-  double build_seconds_base = 0.0;
-  std::size_t hits_base = 0;
-  std::size_t misses_base = 0;
+  /// This evaluator's lifetime totals and the window baseline captured by
+  /// reset_stats(). The cache fields come from TreeBuildCache's own
+  /// lifetime counts, which are per evaluator already.
+  EvalStats total;
+  EvalStats base;
+
+  void evaluated(std::size_t n) {
+    total.evaluations += n;
+    evaluations->add(n);
+  }
+  void evaluate_time(double seconds) {
+    total.evaluate_seconds += seconds;
+    evaluate_seconds->add(seconds);
+  }
+  void build_time(double seconds) {
+    total.build_seconds += seconds;
+    build_seconds->add(seconds);
+  }
 
   /// Scope guard mirroring the cache counter deltas of one engine call
   /// into the registry (the cache increments from pool threads; the delta
@@ -81,6 +94,7 @@ std::size_t PlanEvaluator::num_threads() const {
 }
 
 ThreadPool& PlanEvaluator::pool() {
+  if (options_.executor != nullptr) return *options_.executor;
   if (!pool_) pool_ = std::make_unique<ThreadPool>(num_threads() - 1);
   return *pool_;
 }
@@ -117,8 +131,8 @@ Topology PlanEvaluator::build_full(const PairSet& pairs, const Partition& partit
   Topology topo = build_topology(*system_, pairs, partition, options_.attr_specs,
                                  options_.allocation, options_.tree,
                                  cache_.enabled() ? &cache_ : nullptr);
-  counters_->evaluations->add(1);
-  counters_->build_seconds->add(seconds_since(start));
+  counters_->evaluated(1);
+  counters_->build_time(seconds_since(start));
   return topo;
 }
 
@@ -182,8 +196,8 @@ std::vector<PlanEvaluator::Result> PlanEvaluator::evaluate_all(
     results[i] = Result{std::move(topo), PlanScore{}, i};
     results[i].score = score_of(results[i].topo);
   });
-  counters_->evaluations->add(candidates.size());
-  counters_->evaluate_seconds->add(seconds_since(start));
+  counters_->evaluated(candidates.size());
+  counters_->evaluate_time(seconds_since(start));
   return results;
 }
 
@@ -198,7 +212,7 @@ std::optional<PlanEvaluator::Result> PlanEvaluator::best_improving(
   for_each_blocked(candidates.size(), [&](std::size_t i, RebuildScratch& scratch) {
     scores[i] = score_candidate(base, p, pairs, candidates[i], &scratch);
   });
-  counters_->evaluations->add(candidates.size());
+  counters_->evaluated(candidates.size());
 
   // Serial rank-order scan: strict improvement over the running best, so
   // ties go to the lowest-ranked candidate — identical to serial search.
@@ -212,7 +226,7 @@ std::optional<PlanEvaluator::Result> PlanEvaluator::best_improving(
   }
   std::optional<Result> out;
   if (best) out = materialize(base, p, pairs, candidates, *best, best_score);
-  counters_->evaluate_seconds->add(seconds_since(start));
+  counters_->evaluate_time(seconds_since(start));
   return out;
 }
 
@@ -247,29 +261,27 @@ std::optional<PlanEvaluator::Result> PlanEvaluator::first_improving(
       }
     }
   }
-  counters_->evaluations->add(evaluated);
-  counters_->evaluate_seconds->add(seconds_since(start));
+  counters_->evaluated(evaluated);
+  counters_->evaluate_time(seconds_since(start));
   return found;
 }
 
 EvalStats PlanEvaluator::stats() const {
+  const EvalStats& t = counters_->total;
+  const EvalStats& b = counters_->base;
   EvalStats s;
-  s.evaluations = counters_->evaluations->value() - counters_->evals_base;
-  s.cache_hits = cache_.hits() - counters_->hits_base;
-  s.cache_misses = cache_.misses() - counters_->misses_base;
-  s.evaluate_seconds =
-      counters_->evaluate_seconds->value() - counters_->evaluate_seconds_base;
-  s.build_seconds =
-      counters_->build_seconds->value() - counters_->build_seconds_base;
+  s.evaluations = t.evaluations - b.evaluations;
+  s.cache_hits = cache_.hits() - b.cache_hits;
+  s.cache_misses = cache_.misses() - b.cache_misses;
+  s.evaluate_seconds = t.evaluate_seconds - b.evaluate_seconds;
+  s.build_seconds = t.build_seconds - b.build_seconds;
   return s;
 }
 
 void PlanEvaluator::reset_stats() {
-  counters_->evals_base = counters_->evaluations->value();
-  counters_->evaluate_seconds_base = counters_->evaluate_seconds->value();
-  counters_->build_seconds_base = counters_->build_seconds->value();
-  counters_->hits_base = cache_.hits();
-  counters_->misses_base = cache_.misses();
+  counters_->base = counters_->total;
+  counters_->base.cache_hits = cache_.hits();
+  counters_->base.cache_misses = cache_.misses();
 }
 
 }  // namespace remo

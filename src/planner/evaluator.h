@@ -4,7 +4,8 @@
 // so that both share one hot path with two accelerations:
 //
 //   - candidates of one search iteration are evaluated concurrently on a
-//     fixed thread pool (PlannerOptions::num_threads), with deterministic
+//     thread pool (PlannerOptions::executor when injected, else a pool the
+//     engine owns, sized by PlannerOptions::num_threads), with deterministic
 //     commit: results land in candidate-rank slots and winners are chosen
 //     by (score, rank), never by completion order, so the chosen topology
 //     is bit-identical to serial evaluation;
@@ -12,20 +13,24 @@
 //     re-evaluating an augmentation whose involved nodes the previously
 //     committed operation did not touch reuses the built trees.
 //
-// Thread model (DESIGN.md §16): the evaluator itself owns no lock — its
-// cross-thread state is exactly the annotated TreeBuildCache (capability
-// `cache_.mutex_`), the ThreadPool's job hand-off, and the registry's
-// lock-free metric objects. Pool tasks touch only their own rank slot,
+// Thread model (DESIGN.md §16): one caller at a time per evaluator; the
+// evaluator itself owns no lock — its cross-thread state is exactly the
+// annotated TreeBuildCache (capability `cache_.mutex_`), the ThreadPool's
+// job hand-off, and the registry's lock-free metric objects. Several
+// evaluators may dispatch into one shared pool at once (the federation's
+// shards do); the pool keeps their jobs apart (common/thread_pool.h). Pool tasks touch only their own rank slot,
 // their task-local RebuildScratch, and those three annotated structures,
 // which is why the engine needs no capability of its own and the TSA
 // build proves the whole parallel section lock-correct.
 //
 // The engine also keeps the evaluation counters/timings (EvalStats) that
-// plan(), the adaptive planner, and the Fig. 9/10 benches report. The live
-// counters are `planner.*` metrics in an obs::Registry
-// (PlannerOptions::metrics, defaulting to the global registry), so every
-// registry snapshot — including the BENCH_*.json telemetry — carries them;
-// EvalStats is the windowed view between reset_stats() and stats().
+// plan(), the adaptive planner, and the Fig. 9/10 benches report. It
+// counts its own work and mirrors every addend into `planner.*` metrics in
+// an obs::Registry (PlannerOptions::metrics, defaulting to the global
+// registry), so every registry snapshot — including the BENCH_*.json
+// telemetry — carries them; EvalStats is the windowed view of the
+// evaluator's own counts between reset_stats() and stats(), unaffected by
+// other evaluators publishing into the same registry.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +47,7 @@ namespace remo {
 class ThreadPool;
 
 /// Counters/timings of the engine since the last reset_stats(). Snapshot
-/// type — the live counters are registry metrics (see above).
+/// type — the registry metrics mirror the same counts (see above).
 struct EvalStats {
   /// Topologies built and scored: one per evaluated candidate, plus one
   /// per full-forest build (initial layout, re-layout escape, endpoint
@@ -160,7 +165,9 @@ class PlanEvaluator {
   const SystemModel* system_;
   PlannerOptions options_;
   TreeBuildCache cache_;
-  std::unique_ptr<ThreadPool> pool_;  // lazily created, num_threads()-1 workers
+  /// Lazily created (num_threads()-1 workers) only when no executor is
+  /// injected; pool() returns the executor otherwise.
+  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Counters> counters_;
   std::optional<PairSet> last_pairs_;
 };

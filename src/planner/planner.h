@@ -21,6 +21,7 @@ namespace remo {
 namespace obs {
 class Registry;
 }
+class ThreadPool;
 
 enum class PartitionScheme : std::uint8_t { kSingletonSet, kOneSet, kRemo };
 
@@ -58,10 +59,13 @@ struct PlannerOptions {
   bool starvation_ranking = true;
 
   // --- evaluation-engine knobs (see planner/evaluator.h) -----------------
-  /// Candidate evaluations per search iteration run concurrently on a
-  /// fixed pool of this many threads (0 = hardware_concurrency). The
-  /// committed plan is bit-identical for every value: score ties are
-  /// broken by candidate rank, never by completion order.
+  /// Planning concurrency: candidate evaluations per search iteration run
+  /// on this many threads (0 = hardware_concurrency). Under a federation
+  /// this is the budget of the whole federation, not of one shard: the
+  /// facade sizes its one shared pool from it and plans dirty shards
+  /// concurrently on that pool (DESIGN.md §12). The committed plan is
+  /// bit-identical for every value: score ties are broken by candidate
+  /// rank, never by completion order.
   std::size_t num_threads = 0;
   /// Memoize tree builds across search iterations, keyed by (canonical
   /// attribute set, remaining-capacity fingerprint). A hit is bit-identical
@@ -81,6 +85,11 @@ struct PlannerOptions {
   /// in BENCH_*.json). Null = the process-global registry; inject a
   /// private instance to keep a test or side-by-side run hermetic.
   obs::Registry* metrics = nullptr;
+  /// Pool the evaluation engine dispatches candidate blocks to. Non-owning;
+  /// it must outlive the planner. Null = the engine lazily owns a pool of
+  /// num_threads − 1 workers (a standalone planner). The federation facade
+  /// injects its one pool here so all shards share it.
+  ThreadPool* executor = nullptr;
 };
 
 /// Lexicographic objective: more collected pairs first; then lower message

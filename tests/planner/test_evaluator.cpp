@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "planner/planner.h"
 #include "planner/tree_build_cache.h"
 #include "task/pair_set.h"
@@ -84,6 +87,54 @@ TEST(PlanEvaluator, StatsReportEvaluationsAndTimings) {
   EXPECT_EQ(stats.evaluations, planner.last_evaluations());
   EXPECT_GE(stats.evaluate_seconds, 0.0);
   EXPECT_GE(stats.build_seconds, 0.0);
+}
+
+TEST(PlanEvaluator, StatsWindowsIgnoreOtherPlannersOnASharedRegistry) {
+  // Two planners publish into one registry. Each one's EvalStats window
+  // must count only its own work, so planning both at once reports exactly
+  // what each reports when run alone; the registry carries the sum.
+  const RandomWorkload a(11, 28, 60.0, 200.0, 12, 4);
+  const RandomWorkload b(12, 24, 50.0, 180.0, 10, 4);
+  constexpr int kPlans = 3;  // later plans run on a warm cache
+  using Window = std::vector<std::array<std::size_t, 3>>;
+  auto plan_all = [](Planner& planner, const PairSet& pairs, Window& out) {
+    for (int i = 0; i < kPlans; ++i) {
+      planner.plan(pairs);
+      const EvalStats s = planner.last_stats();
+      out.push_back({s.evaluations, s.cache_hits, s.cache_misses});
+    }
+  };
+  // One thread per planner: with concurrent candidate scoring, two blocks
+  // may race to build the same memo key, so hit/miss splits vary run to
+  // run even for a planner alone. The concurrency under test here is
+  // between the planners.
+  auto options = [](obs::Registry& registry) {
+    PlannerOptions o = engine_options(1, true);
+    o.metrics = &registry;
+    return o;
+  };
+
+  Window alone_a, alone_b;
+  {
+    obs::Registry ra, rb;
+    Planner pa(a.system, options(ra)), pb(b.system, options(rb));
+    plan_all(pa, a.pairs, alone_a);
+    plan_all(pb, b.pairs, alone_b);
+  }
+
+  obs::Registry shared;
+  Planner pa(a.system, options(shared)), pb(b.system, options(shared));
+  Window both_a, both_b;
+  std::thread other([&] { plan_all(pb, b.pairs, both_b); });
+  plan_all(pa, a.pairs, both_a);
+  other.join();
+  EXPECT_EQ(both_a, alone_a);
+  EXPECT_EQ(both_b, alone_b);
+
+  std::size_t evaluations = 0;
+  for (const auto& w : {alone_a, alone_b})
+    for (const auto& s : w) evaluations += s[0];
+  EXPECT_EQ(shared.counter("planner.candidates_evaluated").value(), evaluations);
 }
 
 TEST(PlanEvaluator, RepeatedPlanWarmsTheCache) {
