@@ -170,12 +170,11 @@ std::vector<std::vector<AttrId>> AdaptivePlanner::direct_apply(
     // before we get here, so rebuilds reuse trees memoized across calls —
     // churn that re-creates a recently seen (attrs, members, budgets) build
     // is served from cache, bit-identically.
-    TreeBuildCache& cache = planner_.evaluator().cache();
     topology_ = rebuild_trees(topology_, *system_, pairs_, victims, new_sets,
                               planner_.options().attr_specs,
                               planner_.options().allocation,
                               planner_.options().tree,
-                              cache.enabled() ? &cache : nullptr);
+                              planner_.evaluator().memo_cache());
   }
 
   // 2. Pair-level changes: patch surviving trees with minimum topology

@@ -1,8 +1,9 @@
-// Guided partition augmentation (Sec. 3.1.1): enumerate the neighboring
-// solutions of a partition (one merge or one split away) and rank them by
-// the estimated reduction in total capacity usage, so the planner can
-// evaluate only the most promising few with (expensive) resource-aware
-// tree construction.
+// Guided partition augmentation (Sec. 3.1.1): the neighboring solutions of
+// a partition (one merge or one split away) and their estimated reduction
+// in total capacity usage. The planner's candidate ranking
+// (rank_topology_augmentations, planner/planner.h) enumerates the
+// neighbors, scores them with these estimates and evaluates only the most
+// promising few with (expensive) resource-aware tree construction.
 //
 // The exact gain formula lives in the paper's online appendix, which is
 // not part of the provided text; the estimates here implement what the
@@ -69,19 +70,5 @@ double estimate_merge_gain(const Partition& p, std::size_t i, std::size_t j,
 /// Estimated gain of splitting `attr` out of set `i`.
 double estimate_split_gain(const Partition& p, std::size_t i, AttrId attr,
                            const PairSet& pairs, const CostModel& cost);
-
-/// All neighboring solutions of `p` (every legal merge and split, minus
-/// those blocked by `conflicts`), ranked by decreasing estimated gain.
-/// `max_candidates` truncates the list (0 = no limit).
-///
-/// `set_bonus` (optional, one entry per partition set) is added to the
-/// estimate of every candidate touching that set. The planner passes the
-/// capacity value of each tree's *uncollected* pairs here, so operations
-/// involving starved trees — whose reshaping can recover real coverage,
-/// not just shave overhead — are evaluated first.
-std::vector<Augmentation> ranked_augmentations(
-    const Partition& p, const PairSet& pairs, const CostModel& cost,
-    const ConflictConstraints& conflicts, std::size_t max_candidates = 0,
-    const std::vector<double>* set_bonus = nullptr);
 
 }  // namespace remo

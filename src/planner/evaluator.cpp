@@ -76,7 +76,6 @@ PlanEvaluator::PlanEvaluator(const SystemModel& system, PlannerOptions options)
     : system_(&system),
       options_(std::move(options)),
       counters_(std::make_unique<Counters>()) {
-  cache_.set_enabled(options_.memoize_builds);
   obs::Registry& reg = obs::registry_or_global(options_.metrics);
   counters_->evaluations = &reg.counter("planner.candidates_evaluated");
   counters_->cache_hits = &reg.counter("planner.cache_hits");
@@ -129,8 +128,7 @@ Topology PlanEvaluator::build_full(const PairSet& pairs, const Partition& partit
   const Counters::CacheWindow cache_window(*counters_, cache_);
   const auto start = std::chrono::steady_clock::now();
   Topology topo = build_topology(*system_, pairs, partition, options_.attr_specs,
-                                 options_.allocation, options_.tree,
-                                 cache_.enabled() ? &cache_ : nullptr);
+                                 options_.allocation, options_.tree, memo_cache());
   counters_->evaluated(1);
   counters_->build_time(seconds_since(start));
   return topo;
@@ -142,7 +140,7 @@ Topology PlanEvaluator::rebuild_candidate(const Topology& base, const Partition&
   const AugmentationFootprint fp = footprint(p, aug);
   return rebuild_trees(base, *system_, pairs, fp.victims, fp.new_sets,
                        options_.attr_specs, options_.allocation, options_.tree,
-                       cache_.enabled() ? &cache_ : nullptr);
+                       memo_cache());
 }
 
 PlanScore PlanEvaluator::score_candidate(const Topology& base, const Partition& p,
@@ -153,14 +151,13 @@ PlanScore PlanEvaluator::score_candidate(const Topology& base, const Partition& 
   const RebuildScore s = rebuild_score(base, *system_, pairs, fp.victims,
                                        fp.new_sets, options_.attr_specs,
                                        options_.allocation, options_.tree,
-                                       cache_.enabled() ? &cache_ : nullptr, scratch);
+                                       memo_cache(), scratch);
   return PlanScore{s.collected, s.cost};
 }
 
 void PlanEvaluator::for_each_blocked(
     std::size_t n, const std::function<void(std::size_t, RebuildScratch&)>& fn) {
-  const std::size_t block = std::max<std::size_t>(options_.candidate_block_size, 1);
-  const std::size_t num_blocks = (n + block - 1) / block;
+  const std::size_t num_blocks = (n + kCandidateBlockSize - 1) / kCandidateBlockSize;
   if (num_threads() <= 1 || num_blocks <= 1) {
     RebuildScratch scratch;
     for (std::size_t i = 0; i < n; ++i) fn(i, scratch);
@@ -168,8 +165,8 @@ void PlanEvaluator::for_each_blocked(
   }
   pool().parallel_for(num_blocks, [&](std::size_t b) {
     RebuildScratch scratch;
-    const std::size_t begin = b * block;
-    const std::size_t end = std::min(begin + block, n);
+    const std::size_t begin = b * kCandidateBlockSize;
+    const std::size_t end = std::min(begin + kCandidateBlockSize, n);
     for (std::size_t i = begin; i < end; ++i) fn(i, scratch);
   });
 }
@@ -181,24 +178,6 @@ PlanEvaluator::Result PlanEvaluator::materialize(
   // With the cache on this re-serves the builds the scoring pass just did;
   // with it off, one extra build per committed operation.
   return Result{rebuild_candidate(base, p, pairs, candidates[index]), score, index};
-}
-
-std::vector<PlanEvaluator::Result> PlanEvaluator::evaluate_all(
-    const Topology& base, const PairSet& pairs,
-    const std::vector<Augmentation>& candidates) {
-  const obs::Span span("planner.evaluate");
-  const Counters::CacheWindow cache_window(*counters_, cache_);
-  const auto start = std::chrono::steady_clock::now();
-  const Partition p = base.partition();  // sets in entry order
-  std::vector<Result> results(candidates.size());
-  for_each_blocked(candidates.size(), [&](std::size_t i, RebuildScratch&) {
-    Topology topo = rebuild_candidate(base, p, pairs, candidates[i]);
-    results[i] = Result{std::move(topo), PlanScore{}, i};
-    results[i].score = score_of(results[i].topo);
-  });
-  counters_->evaluated(candidates.size());
-  counters_->evaluate_time(seconds_since(start));
-  return results;
 }
 
 std::optional<PlanEvaluator::Result> PlanEvaluator::best_improving(
@@ -243,8 +222,8 @@ std::optional<PlanEvaluator::Result> PlanEvaluator::first_improving(
   // the chunk size: chunks are scanned in rank order and the scan stops at
   // the first improvement, so the committed candidate is the lowest-ranked
   // improving one no matter how the chunks were cut.
-  const std::size_t block = std::max<std::size_t>(options_.candidate_block_size, 1);
-  const std::size_t chunk = block * std::max<std::size_t>(num_threads(), 1);
+  const std::size_t chunk =
+      kCandidateBlockSize * std::max<std::size_t>(num_threads(), 1);
   std::optional<Result> found;
   std::size_t evaluated = 0;
   for (std::size_t begin = 0; begin < budget && !found; begin += chunk) {

@@ -46,6 +46,12 @@ namespace remo {
 
 class ThreadPool;
 
+/// Candidates per pool task: each task scores one contiguous rank-block
+/// with task-local scratch reused across the block, amortizing dispatch
+/// and allocation overhead. Dispatch shape only — scores are committed in
+/// rank order regardless of which block produced them.
+inline constexpr std::size_t kCandidateBlockSize = 4;
+
 /// Counters/timings of the engine since the last reset_stats(). Snapshot
 /// type — the registry metrics mirror the same counts (see above).
 struct EvalStats {
@@ -70,7 +76,7 @@ class PlanEvaluator {
   PlanEvaluator(const PlanEvaluator&) = delete;
   PlanEvaluator& operator=(const PlanEvaluator&) = delete;
 
-  /// One evaluated candidate: the rebuilt topology, its score, and the
+  /// One committed candidate: the rebuilt topology, its score, and the
   /// candidate's rank in the list it came from.
   struct Result {
     Topology topo;
@@ -104,13 +110,6 @@ class PlanEvaluator {
   /// endpoint guard). Counts one evaluation.
   Topology build_full(const PairSet& pairs, const Partition& partition);
 
-  /// Evaluates every candidate against `base` concurrently, materializing
-  /// each resulting topology; results are in candidate order. The search
-  /// paths below avoid this: they score candidates without materializing
-  /// (topology.h rebuild_score) and materialize only the winner.
-  std::vector<Result> evaluate_all(const Topology& base, const PairSet& pairs,
-                                   const std::vector<Augmentation>& candidates);
-
   /// Best-of-candidates commit rule: the lowest-ranked candidate achieving
   /// the best strictly-improving score over `current` (identical to the
   /// serial scan that keeps the first strict improvement of the running
@@ -138,6 +137,11 @@ class PlanEvaluator {
   void reset_stats();
 
   TreeBuildCache& cache() noexcept { return cache_; }
+  /// The cache to hand the builders: &cache(), or nullptr when
+  /// PlannerOptions::memoize_builds is off.
+  TreeBuildCache* memo_cache() noexcept {
+    return options_.memoize_builds ? &cache_ : nullptr;
+  }
 
  private:
   struct Counters;
@@ -148,11 +152,11 @@ class PlanEvaluator {
                             RebuildScratch* scratch);
   /// Block dispatcher for the scoring loops: runs fn(i, scratch) for every
   /// i in [0, n), one pool task per contiguous rank-block of
-  /// PlannerOptions::candidate_block_size candidates. The scratch is
-  /// task-local and reused across the block's candidates, so per-candidate
-  /// allocation and pool dispatch amortize over the block. Pure dispatch
-  /// shape: every i runs exactly once into its own output slot, so callers
-  /// see results identical to the serial loop for any block size.
+  /// kCandidateBlockSize candidates. The scratch is task-local and reused
+  /// across the block's candidates, so per-candidate allocation and pool
+  /// dispatch amortize over the block. Pure dispatch shape: every i runs
+  /// exactly once into its own output slot, so callers see results
+  /// identical to the serial loop.
   void for_each_blocked(std::size_t n,
                         const std::function<void(std::size_t, RebuildScratch&)>& fn);
   /// Materializes the scored winner; exact by construction (the score path

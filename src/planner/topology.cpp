@@ -1,7 +1,6 @@
 #include "planner/topology.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -11,7 +10,6 @@
 namespace remo {
 
 namespace {
-constexpr double kEps = 1e-9;
 
 /// Advisory-share bookkeeping for UNIFORM / PROPORTIONAL allocation
 /// (Sec. 5.2), computed over the full target partition.
@@ -128,7 +126,7 @@ void fill_entry_inputs(const SystemModel& system, const PairSet& pairs,
 
   items.clear();
   offered = 0;
-  if (cache != nullptr && cache->enabled()) {
+  if (cache != nullptr) {
     const auto* t = cache->items_template(attrs, pairs);
     offered = t->offered;
     items.resize(t->nodes.size());
@@ -195,15 +193,16 @@ TreeEntry build_entry(const SystemModel& system, const PairSet& pairs,
                     tree_idx, pass, cache, tree_attrs, items, offered,
                     collector_avail);
 
-  if (cache != nullptr && cache->enabled()) {
+  if (cache != nullptr) {
     TreeBuildKey key =
         make_cache_key(system.cost(), attrs, tree_attrs, items, collector_avail);
-    if (auto hit = cache->find(key)) {
+    if (const TreeEntry* hit = cache->peek(key)) {
       // The cached tree's structure and loads are exactly what a fresh
       // build would produce (the key captures every input the builder
-      // sees), but its stored budgets are the *creator's*. Rewrite them to
-      // this request's, so a hit is indistinguishable from a build.
-      TreeEntry entry = std::move(*hit);
+      // sees), but its stored budgets are the *creator's*. Copy the entry
+      // and rewrite them to this request's, so a hit is indistinguishable
+      // from a build.
+      TreeEntry entry = *hit;
       entry.tree.set_avail(kCollectorId, collector_avail);
       for (const auto& it : items)
         if (entry.tree.contains(it.id)) entry.tree.set_avail(it.id, it.avail);
@@ -258,7 +257,7 @@ EntryScore score_entry(const SystemModel& system, const PairSet& pairs,
                     tree_idx, BuildPass::kRebuild, cache, tree_attrs, items,
                     offered, collector_avail);
 
-  if (cache != nullptr && cache->enabled()) {
+  if (cache != nullptr) {
     const TreeBuildKey key =
         make_cache_key(system.cost(), attrs, tree_attrs, items, collector_avail);
     if (const TreeEntry* hit = cache->peek(key)) {
@@ -479,7 +478,6 @@ Topology rebuild_trees(const Topology& topo, const SystemModel& system,
     charge_usage(remaining, entry.tree);
     out.mutable_entries().push_back(std::move(entry));
   }
-  (void)kEps;
   return out;
 }
 
@@ -528,7 +526,7 @@ RebuildScore rebuild_score(const Topology& topo, const SystemModel& system,
     shares.tree_size.resize(sc.all_sets.size());
     for (std::size_t k = first_new; k < sc.all_sets.size(); ++k)
       shares.tree_size[k] =
-          cache != nullptr && cache->enabled()
+          cache != nullptr
               ? cache->items_template(sc.all_sets[k], pairs)->nodes.size()
               : pairs.nodes_with_any(sc.all_sets[k]).size();
   } else {

@@ -44,7 +44,7 @@ Command decode_command(wire::Reader& r) {
   Command cmd;
   cmd.kind = static_cast<CommandKind>(r.u8());
   cmd.producer = r.u32();
-  cmd.values.resize(r.u32());
+  cmd.values.resize(r.count(16));  // u32 node, u32 attr, f64 value
   for (ValueUpdate& v : cmd.values) {
     v.node = r.u32();
     v.attr = r.u32();
@@ -359,9 +359,11 @@ void MonitoringDaemon::restore(const std::vector<std::uint8_t>& image) {
   stats_.snapshots_taken = p.u64();
   stats_.pairs_emitted = p.u64();
 
-  std::vector<Command> queue(p.u32());
+  // A command is at least 64 bytes: kind, producer, value count, a 42-byte
+  // task, task id, control and enqueue time.
+  std::vector<Command> queue(p.count(64));
   for (Command& cmd : queue) cmd = decode_command(p);
-  std::vector<MessageBus::BucketState> buckets(p.u32());
+  std::vector<MessageBus::BucketState> buckets(p.count(37));  // u32, 4 f64, u8
   for (auto& b : buckets) {
     b.producer = p.u32();
     b.limits.rate = p.f64();

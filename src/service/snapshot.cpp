@@ -10,6 +10,16 @@ namespace remo::service {
 using wire::Reader;
 using wire::Writer;
 
+namespace {
+// Smallest wire size of one element of each counted list — the bound
+// Reader::count checks a decoded length against.
+constexpr std::size_t kIdBytes = 4;          // AttrId / NodeId
+constexpr std::size_t kSpecBytes = 17;       // u32 attr, u8 type, u32 k, f64 weight
+constexpr std::size_t kMemberBytes = 16;     // u32 id, u32 parent, f64 avail (+ counts)
+constexpr std::size_t kChildListBytes = 8;   // u32 vertex, u32 count
+constexpr std::size_t kSubtaskBytes = 16;    // u32 shard, u32 local id, u64 nodes
+}  // namespace
+
 void encode_task(Writer& w, const MonitoringTask& t) {
   w.u32(t.id);
   w.u32(static_cast<std::uint32_t>(t.attrs.size()));
@@ -33,18 +43,18 @@ void encode_task(Writer& w, const MonitoringTask& t) {
 MonitoringTask decode_task(Reader& r) {
   MonitoringTask t;
   t.id = r.u32();
-  t.attrs.resize(r.u32());
+  t.attrs.resize(r.count(kIdBytes));
   for (AttrId& a : t.attrs) a = r.u32();
-  t.nodes.resize(r.u32());
+  t.nodes.resize(r.count(kIdBytes));
   for (NodeId& n : t.nodes) n = r.u32();
   t.frequency = r.f64();
   t.aggregation = static_cast<AggType>(r.u8());
   t.top_k = r.u32();
   t.reliability = static_cast<ReliabilityMode>(r.u8());
   t.replicas = r.u32();
-  t.identical_groups.resize(r.u32());
+  t.identical_groups.resize(r.count(kIdBytes));  // each starts with a u32 count
   for (auto& group : t.identical_groups) {
-    group.resize(r.u32());
+    group.resize(r.count(kIdBytes));
     for (NodeId& n : group) n = r.u32();
   }
   t.origin_id = r.u32();
@@ -98,7 +108,7 @@ struct MemberRec {
 bool decode_tree(Reader& r, std::vector<TreeEntry>& entries,
                  std::vector<AttrId> attrs, std::size_t offered,
                  std::size_t collected) {
-  std::vector<TreeAttrSpec> specs(r.u32());
+  std::vector<TreeAttrSpec> specs(r.count(kSpecBytes));
   for (TreeAttrSpec& s : specs) {
     s.attr = r.u32();
     const auto type = static_cast<AggType>(r.u8());
@@ -111,7 +121,8 @@ bool decode_tree(Reader& r, std::vector<TreeEntry>& entries,
   const double per_value = r.f64();
   if (!r.ok()) return false;
 
-  std::vector<NodeId> member_order(r.u32());
+  std::vector<NodeId> member_order(
+      r.count(kMemberBytes + kIdBytes * specs.size()));
   std::map<NodeId, MemberRec> recs;
   for (NodeId& m : member_order) {
     m = r.u32();
@@ -122,11 +133,12 @@ bool decode_tree(Reader& r, std::vector<TreeEntry>& entries,
     for (std::uint32_t& v : rec.local) v = r.u32();
     recs.emplace(m, std::move(rec));
   }
-  std::vector<std::pair<NodeId, std::vector<NodeId>>> children(r.u32());
+  std::vector<std::pair<NodeId, std::vector<NodeId>>> children(
+      r.count(kChildListBytes));
   std::map<NodeId, const std::vector<NodeId>*> children_of;
   for (auto& [vertex, kids] : children) {
     vertex = r.u32();
-    kids.resize(r.u32());
+    kids.resize(r.count(kIdBytes));
     for (NodeId& c : kids) c = r.u32();
     children_of[vertex] = &kids;
   }
@@ -209,7 +221,7 @@ bool decode_planner_state(Reader& r, MonitoringSystem::PlannerState& st) {
   if (!decode_topology(r, st.topology)) return false;
   const std::uint32_t nstamps = r.u32();
   for (std::uint32_t i = 0; i < nstamps && r.ok(); ++i) {
-    std::vector<AttrId> attrs(r.u32());
+    std::vector<AttrId> attrs(r.count(kIdBytes));
     for (AttrId& a : attrs) a = r.u32();
     const double stamp = r.f64();
     st.adjustment_stamps.emplace(std::move(attrs), stamp);
@@ -241,7 +253,7 @@ bool decode_topology(Reader& r, Topology& out) {
   out.mutable_entries().clear();
   out.mutable_entries().reserve(nentries);
   for (std::uint32_t i = 0; i < nentries; ++i) {
-    std::vector<AttrId> attrs(r.u32());
+    std::vector<AttrId> attrs(r.count(kIdBytes));
     for (AttrId& a : attrs) a = r.u32();
     const std::size_t offered = r.u64();
     const std::size_t collected = r.u64();
@@ -311,7 +323,7 @@ bool decode_system(Reader& r, federation::FederatedMonitoringSystem& sys) {
   for (std::uint32_t i = 0; i < nroutes && r.ok(); ++i) {
     federation::FederatedMonitoringSystem::Route route;
     route.user = decode_task(r);
-    route.subtasks.resize(r.u32());
+    route.subtasks.resize(r.count(kSubtaskBytes));
     for (auto& sub : route.subtasks) {
       sub.shard = r.u32();
       sub.local_id = r.u32();

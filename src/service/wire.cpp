@@ -89,6 +89,15 @@ std::string Reader::str() {
   return s;
 }
 
+std::uint32_t Reader::count(std::size_t min_bytes_per_elem) {
+  const std::uint32_t n = u32();
+  if (std::size_t{n} * min_bytes_per_elem > remaining()) {
+    ok_ = false;
+    return 0;
+  }
+  return n;
+}
+
 const std::uint8_t* Reader::skip(std::size_t size) {
   if (!take(size)) return nullptr;
   const std::uint8_t* p = data_ + pos_;
@@ -145,7 +154,7 @@ bool decode_epoch_pairs(const std::uint8_t* payload, std::size_t size,
   Reader r(payload, size);
   out.epoch = r.u64();
   out.values_applied = r.u64();
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(16);  // u32 node + u32 attr + f64 value
   out.pairs.clear();
   out.pairs.reserve(n);
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {

@@ -71,6 +71,11 @@ class Reader {
   double f64();
   void bytes(void* out, std::size_t size);
   std::string str();
+  /// Reads a u32 element count and checks it against the bytes left: a
+  /// count whose elements (each at least `min_bytes_per_elem` bytes on the
+  /// wire) cannot fit fails the reader and yields 0, so a corrupt length
+  /// never sizes an allocation.
+  std::uint32_t count(std::size_t min_bytes_per_elem);
   /// Advances without copying; returns the payload start (null on failure).
   const std::uint8_t* skip(std::size_t size);
 

@@ -331,7 +331,7 @@ TreeBuildResult build_tree(std::vector<TreeAttrSpec> attrs,
     if (attached > 0)
       fruitless = 0;
     else if (result.adjust_invocations > 0 &&
-             ++fruitless > options.max_fruitless_adjusts)
+             ++fruitless > kMaxFruitlessAdjusts)
       break;
     if (options.scheme != TreeScheme::kAdaptive) {
       if (attached == 0) break;
@@ -349,7 +349,10 @@ TreeBuildResult build_tree(std::vector<TreeAttrSpec> attrs,
   }
 
   for (auto& p : pending) result.rejected.push_back(std::move(p.item));
-  if (options.dfs_renumber) result.tree.renumber_dfs();
+  // Renumber arena slots into DFS preorder so ancestor walks against the
+  // finished tree touch monotonically nearby rows. Pure relayout: node
+  // ids, edges and costs are unchanged.
+  result.tree.renumber_dfs();
   return result;
 }
 

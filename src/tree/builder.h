@@ -43,15 +43,11 @@ struct TreeBuildOptions {
   /// Sec. 5.1.2: restrict the reattach search to the congested node's
   /// subtree whenever Theorem 1 guarantees completeness.
   bool subtree_only = true;
-  /// Stop after this many consecutive adjustments that enable no new
-  /// attachment (guards termination of the construct/adjust iteration).
-  std::size_t max_fruitless_adjusts = 4;
-  /// Renumber arena slots into DFS preorder after the build so ancestor
-  /// walks (can_attach / attach feasibility checks against the finished
-  /// tree) touch monotonically nearby rows. Pure relayout: node ids, edges
-  /// and costs are unchanged.
-  bool dfs_renumber = true;
 };
+
+/// The builder stops after this many consecutive adjustments that enable
+/// no new attachment (guards termination of the construct/adjust loop).
+inline constexpr std::size_t kMaxFruitlessAdjusts = 4;
 
 struct TreeBuildResult {
   MonitoringTree tree;

@@ -79,7 +79,6 @@ Trace run(std::uint64_t seed, std::size_t shards, std::size_t threads) {
   p.max_candidates = 8;
   p.max_iterations = 8;
   p.num_threads = threads;
-  p.candidate_block_size = 1;  // one pool task per candidate: most dispatches
   // Extension-oblivious, so every kNone mutation rides the delta path.
   options.shard.aggregation_aware = false;
   options.shard.frequency_aware = false;

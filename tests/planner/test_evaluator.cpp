@@ -235,12 +235,12 @@ TreeEntry sample_entry() {
 TEST(TreeBuildCache, MissThenHitOnIdenticalKey) {
   TreeBuildCache cache;
   const TreeBuildKey key = sample_key();
-  EXPECT_FALSE(cache.find(key).has_value());
+  EXPECT_EQ(cache.peek(key), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
 
   cache.insert(key, sample_entry());
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_TRUE(cache.find(key).has_value());
+  EXPECT_NE(cache.peek(key), nullptr);
   EXPECT_EQ(cache.hits(), 1u);
 }
 
@@ -250,7 +250,7 @@ TEST(TreeBuildCache, MemberCapacityChangeInvalidates) {
 
   TreeBuildKey changed = sample_key();
   changed.avails[1] = 41.0;  // one member's remaining budget moved
-  EXPECT_FALSE(cache.find(changed).has_value());
+  EXPECT_EQ(cache.peek(changed), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
 }
@@ -261,7 +261,7 @@ TEST(TreeBuildCache, CollectorCapacityChangeInvalidates) {
 
   TreeBuildKey changed = sample_key();
   changed.collector_avail = 89.0;
-  EXPECT_FALSE(cache.find(changed).has_value());
+  EXPECT_EQ(cache.peek(changed), nullptr);
 }
 
 TEST(TreeBuildCache, AttrOrNodeChangeInvalidates) {
@@ -270,11 +270,11 @@ TEST(TreeBuildCache, AttrOrNodeChangeInvalidates) {
 
   TreeBuildKey other_attrs = sample_key();
   other_attrs.attrs = {1, 5};
-  EXPECT_FALSE(cache.find(other_attrs).has_value());
+  EXPECT_EQ(cache.peek(other_attrs), nullptr);
 
   TreeBuildKey other_nodes = sample_key();
   other_nodes.nodes = {3, 1, 8};
-  EXPECT_FALSE(cache.find(other_nodes).has_value());
+  EXPECT_EQ(cache.peek(other_nodes), nullptr);
 }
 
 TEST(TreeBuildCache, InvalidateAttrsEvictsOnlyIntersectingEntries) {
@@ -288,8 +288,8 @@ TEST(TreeBuildCache, InvalidateAttrsEvictsOnlyIntersectingEntries) {
   EXPECT_EQ(cache.invalidate_attrs({}), 0u);
   EXPECT_EQ(cache.invalidate_attrs({4}), 1u);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_FALSE(cache.find(a).has_value());
-  EXPECT_TRUE(cache.find(b).has_value());  // disjoint attrs: still served
+  EXPECT_EQ(cache.peek(a), nullptr);
+  EXPECT_NE(cache.peek(b), nullptr);  // disjoint attrs: still served
 }
 
 TEST(TreeBuildCacheDeathTest, StaleEntryIsNeverServedUnderValidation) {
@@ -303,12 +303,12 @@ TEST(TreeBuildCacheDeathTest, StaleEntryIsNeverServedUnderValidation) {
   cache.set_reference_pairs(&pairs);
   const TreeBuildKey key = sample_key();
   cache.insert(key, sample_entry());
-  EXPECT_TRUE(cache.find(key).has_value());  // fingerprint still matches
+  EXPECT_NE(cache.peek(key), nullptr);  // fingerprint still matches
 
   // Mutate the slice the entry was built against without invalidating:
   // serving it now would hand the planner a tree for the wrong pair set.
   pairs.add(3, 4);
-  EXPECT_DEATH((void)cache.find(key), "stale entry");
+  EXPECT_DEATH((void)cache.peek(key), "stale entry");
   set_validation_enabled(false);
 }
 
@@ -317,7 +317,7 @@ TEST(TreeBuildCache, ClearEmptiesEntries) {
   cache.insert(sample_key(), sample_entry());
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.find(sample_key()).has_value());
+  EXPECT_EQ(cache.peek(sample_key()), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -155,6 +155,23 @@ TEST(Snapshot, MalformedImagesAreRejectedNotMisparsed) {
   EXPECT_TRUE(restore(image, b));
 }
 
+// A corrupt length field must not size an allocation: a task record whose
+// attr count claims 0xFFFFFFFF elements (16 GB as AttrIds) fails the reader
+// instead of throwing std::bad_alloc or aborting.
+TEST(Snapshot, HugeTaskAttrCountFailsTheReaderWithoutAllocating) {
+  wire::Writer w;
+  w.u32(7);            // task id
+  w.u32(0xFFFFFFFFu);  // attr count — far more than the bytes that follow
+  for (int i = 0; i < 8; ++i) w.u32(1);
+  wire::Reader r(w.buffer());
+  MonitoringTask t;
+  EXPECT_NO_THROW(t = decode_task(r));
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(t.attrs.empty());
+  EXPECT_TRUE(t.nodes.empty());
+  EXPECT_TRUE(t.identical_groups.empty());
+}
+
 // ---------------------------------------------------------------------------
 // Generation-counter memoization (the status() recompute fix): readers see
 // a stable counter across pure reads and a strictly advancing one across

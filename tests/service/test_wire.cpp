@@ -70,6 +70,20 @@ TEST(Wire, TruncationFlipsTheStickyFailureFlag) {
   EXPECT_EQ(r.skip(1), nullptr);
 }
 
+TEST(Wire, CountIsBoundedByTheBytesLeft) {
+  Writer w;
+  w.u32(3);  // three 4-byte elements follow: fits exactly
+  for (std::uint32_t v : {1u, 2u, 3u}) w.u32(v);
+  w.u32(2);  // two 8-byte elements claimed, no bytes left
+  Reader r(w.buffer());
+  EXPECT_EQ(r.count(4), 3u);
+  EXPECT_TRUE(r.ok());
+  r.skip(12);
+  EXPECT_EQ(r.count(8), 0u);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.count(1), 0u);  // sticky: later counts read as zero
+}
+
 TEST(Wire, StreamHeaderVerifiesMagicAndVersion) {
   Writer w;
   begin_stream(w);

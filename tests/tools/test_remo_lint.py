@@ -431,6 +431,76 @@ class CommentAndStringStrippingTest(unittest.TestCase):
         self.assertEqual(lint_snippet(code), [("raw-random", 3)])
 
 
+class OrphanHeaderTest(unittest.TestCase):
+    """Cross-file rule: a src/ header must be included by something other
+    than tests/ and its own .cpp."""
+
+    def orphans(self, files: dict[str, str]) -> list[str]:
+        """Writes `files` (repo-relative path -> text) into a scratch repo,
+        lints its src/ and returns the orphan headers, repo-relative."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for rel, text in files.items():
+                (root / rel).parent.mkdir(parents=True, exist_ok=True)
+                (root / rel).write_text(text, encoding="utf-8")
+            found = remo_lint.orphan_headers(
+                remo_lint.iter_sources([root / "src"]))
+            return sorted(str(p.relative_to(root.resolve())) for p in found)
+
+    DEAD_MODULE = {
+        "src/m/dead.h": "#pragma once\nint dead();\n",
+        "src/m/dead.cpp": '#include "m/dead.h"\nint dead() { return 0; }\n',
+        "tests/m/test_dead.cpp": '#include "m/dead.h"\n',
+    }
+
+    def test_header_reached_only_by_tests_and_own_cpp_is_flagged(self):
+        self.assertEqual(self.orphans(self.DEAD_MODULE), ["src/m/dead.h"])
+
+    def test_every_program_dir_keeps_a_header_alive(self):
+        for d in ("src/other", "bench", "examples", "perfbench/src", "tools"):
+            files = dict(self.DEAD_MODULE)
+            files[f"{d}/user.cpp"] = '#include "m/dead.h"\n'
+            self.assertEqual(self.orphans(files), [], d)
+
+    def test_include_relative_to_the_includer_counts(self):
+        files = dict(self.DEAD_MODULE)
+        files["src/m/user.cpp"] = '#include "dead.h"\n'
+        self.assertEqual(self.orphans(files), [])
+
+    def test_commented_out_include_does_not_count(self):
+        files = dict(self.DEAD_MODULE)
+        files["bench/user.cpp"] = '// #include "m/dead.h"\n'
+        self.assertEqual(self.orphans(files), ["src/m/dead.h"])
+
+    def test_helper_reached_only_from_a_dead_module_is_flagged(self):
+        files = dict(self.DEAD_MODULE)
+        files["src/m/helper.h"] = "#pragma once\n"
+        files["src/m/dead.cpp"] = ('#include "m/dead.h"\n'
+                                   '#include "m/helper.h"\n')
+        self.assertEqual(self.orphans(files),
+                         ["src/m/dead.h", "src/m/helper.h"])
+
+    def test_reported_on_line_one_and_waivable(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.h"
+            path.write_text("#pragma once\n", encoding="utf-8")
+            violations = remo_lint.lint_file(path, Path("src/m/x.h"), True)
+            self.assertEqual([(v.rule, v.line) for v in violations],
+                             [("orphan-header", 1)])
+            path.write_text("// remo-lint: allow(orphan-header) plugin entry "
+                            "point, loaded by name\n#pragma once\n",
+                            encoding="utf-8")
+            self.assertEqual(remo_lint.lint_file(path, Path("src/m/x.h"), True),
+                             [])
+
+    def test_cli_fails_on_an_orphan(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            for rel, text in self.DEAD_MODULE.items():
+                (Path(tmp) / rel).parent.mkdir(parents=True, exist_ok=True)
+                (Path(tmp) / rel).write_text(text, encoding="utf-8")
+            self.assertEqual(remo_lint.run([str(Path(tmp) / "src")]), 1)
+
+
 class CliTest(unittest.TestCase):
     def test_exit_zero_on_clean_tree(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -65,6 +65,13 @@ Rules
                        (Float accumulation over unordered containers — the
                        third §16 source — is already caught by
                        unordered-iteration: any hash-order walk is banned.)
+  orphan-header        A header under src/ that no file includes outside
+                       tests/, not counting the header's own .cpp. Files in
+                       src/, bench/, examples/, perfbench/ and tools/ count
+                       as includers, except orphan headers and their own
+                       .cpp files. A module that only its tests reach is
+                       dead library surface: delete it, or wire it into a
+                       program. Reported on line 1 of the header.
 
 Suppressions
 ------------
@@ -95,6 +102,12 @@ CXX_SUFFIXES = {".h", ".hpp", ".cc", ".cpp", ".cxx"}
 # drain order underwrite the daemon-vs-batch bit-identity of DESIGN.md §14).
 ORDER_SENSITIVE_DIRS = ("planner", "tree", "adapt", "partition", "federation",
                         "service")
+
+# Directories (siblings of src/) whose files keep a src/ header alive. tests/
+# is deliberately absent: a module reached only by its own tests is dead.
+INCLUDER_DIRS = ("src", "bench", "examples", "perfbench", "tools")
+HEADER_SUFFIXES = {".h", ".hpp"}
+INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.MULTILINE)
 
 SUPPRESS_RE = re.compile(r"//\s*remo-lint:\s*allow\(([a-z-]+)\)\s*(.*)$")
 HOT_MARKER_RE = re.compile(r"//\s*REMO_HOT\b")
@@ -277,7 +290,46 @@ def hot_function_lines(raw_lines: list[str], code_lines: list[str]) -> set[int]:
     return hot
 
 
-def lint_file(path: Path, rel: Path) -> list[Violation]:
+def src_root_of(path: Path) -> Path | None:
+    """The nearest enclosing directory named `src`, or None."""
+    for parent in path.resolve().parents:
+        if parent.name == "src":
+            return parent
+    return None
+
+
+def orphan_headers(files: list[Path]) -> set[Path]:
+    """Resolved paths of the headers among `files` that live under a src/
+    tree and that no file in INCLUDER_DIRS includes, the header's own .cpp
+    aside. Quoted includes resolve against src/ and the includer's own
+    directory. Dead code keeps nothing alive: an include from an orphan
+    header or its .cpp does not count, so a dead module's private helpers
+    are flagged with it."""
+    headers = {f.resolve() for f in files
+               if f.suffix in HEADER_SUFFIXES and src_root_of(f) is not None}
+    includers: dict[Path, set[Path]] = {}
+    for root in {src_root_of(h).parent for h in headers}:
+        for d in INCLUDER_DIRS:
+            if not (root / d).is_dir():
+                continue
+            for f in sorted((root / d).rglob("*")):
+                if f.suffix not in CXX_SUFFIXES or not f.is_file():
+                    continue
+                text = f.read_text(encoding="utf-8", errors="replace")
+                for m in INCLUDE_RE.finditer(text):
+                    for target in (root / "src" / m.group(1), f.parent / m.group(1)):
+                        includers.setdefault(target.resolve(), set()).add(f.resolve())
+    orphans: set[Path] = set()
+    while True:
+        dead = orphans | {o.with_suffix(".cpp") for o in orphans}
+        found = {h for h in headers - orphans
+                 if not includers.get(h, set()) - dead - {h.with_suffix(".cpp")}}
+        if not found:
+            return orphans
+        orphans |= found
+
+
+def lint_file(path: Path, rel: Path, orphan: bool = False) -> list[Violation]:
     try:
         raw_lines = path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as e:
@@ -305,6 +357,10 @@ def lint_file(path: Path, rel: Path) -> list[Violation]:
             r"REMO_(?:PT_)?GUARDED_BY\(\s*([A-Za-z_]\w*)\s*\)", code)
     }
 
+    if orphan:
+        report(1, "orphan-header",
+               "no live file outside tests/ includes this header; delete "
+               "the module or wire it into a program")
     for idx, code in enumerate(code_lines, start=1):
         if order_sensitive and unordered_names:
             m = RANGE_FOR_RE.search(code)
@@ -389,6 +445,7 @@ def run(paths: list[str]) -> int:
         print("remo_lint: no C++ sources found", file=sys.stderr)
         return 2
 
+    orphans = orphan_headers(files)
     all_violations: list[Violation] = []
     for f in files:
         try:
@@ -396,7 +453,7 @@ def run(paths: list[str]) -> int:
         except ValueError:
             rel = f
         try:
-            all_violations.extend(lint_file(f, rel))
+            all_violations.extend(lint_file(f, rel, f.resolve() in orphans))
         except RuntimeError as e:
             print(f"remo_lint: {e}", file=sys.stderr)
             return 2
